@@ -14,8 +14,8 @@
 //   - internal/dram — command-accurate DDR1-4/LPDDR3 device model
 //     (bank groups, optional subarray-parallel row buffers)
 //   - internal/noc — flit-level wormhole mesh with credit flow control
+//     and conventional round-robin / priority-first arbitration
 //   - internal/core — the GSS flow-control algorithm and SAGM splitter
-//   - internal/router — conventional round-robin / priority-first policies
 //   - internal/memctrl — the two memory subsystems
 //   - internal/traffic, internal/appmodel — the application models
 //   - internal/mapping — address decoding and channel interleaving

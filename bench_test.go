@@ -368,11 +368,12 @@ func BenchmarkTableLowUtil(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPath is the CI perf gate's measurement pair: the two most
-// saturated Table I points, reported as cycles/s so the committed
-// BENCH_hotpath.json baseline and scripts/perf_gate.sh can hold the
-// flattened hot path (SoA router state, packet/flit pooling, the
-// event-queue controller) to its throughput. Unlike the low-util
+// BenchmarkHotPath is the saturated measurement pair: the two most
+// saturated Table I points, reported as cycles/s, the per-flit cost of
+// the flattened hot path (SoA router state, packet/flit pooling, the
+// event-queue controller). The same pair is perfbench's saturated
+// workload, which the CI perf gate compares against the merge base on
+// one machine (perfbench/compare.py --ab). Unlike the low-util
 // benchmarks, these runs have work on nearly every cycle, so idle-skip
 // cannot hide a regression on the per-flit path.
 func BenchmarkHotPath(b *testing.B) {

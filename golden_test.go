@@ -60,7 +60,7 @@ func TestGoldenReports(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := res.Obs.WriteJSON(&buf); err != nil {
+			if err := obs.EncodeJSON(&buf, res.Obs); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "golden", g.slug+".json")
@@ -79,7 +79,7 @@ func TestGoldenReports(t *testing.T) {
 					g.design, path, buf.Len(), len(want))
 			}
 			// The pinned bytes must stay parseable by the public decoder.
-			if _, err := obs.Parse(want); err != nil {
+			if _, err := obs.DecodeJSON(want); err != nil {
 				t.Errorf("golden report no longer parses: %v", err)
 			}
 		})
@@ -106,7 +106,7 @@ func TestGoldenSchedulers(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := res.Obs.WriteJSON(&buf); err != nil {
+			if err := obs.EncodeJSON(&buf, res.Obs); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "golden", "sched-"+s.String()+".json")
@@ -124,7 +124,7 @@ func TestGoldenSchedulers(t *testing.T) {
 				t.Errorf("scheduler %s report diverged from %s (%d vs %d bytes); run with -update and review the diff",
 					s, path, buf.Len(), len(want))
 			}
-			rep, err := obs.Parse(want)
+			rep, err := obs.DecodeJSON(want)
 			if err != nil {
 				t.Fatalf("golden report no longer parses: %v", err)
 			}
@@ -154,7 +154,7 @@ func TestGoldenMultiChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.Obs.WriteJSON(&buf); err != nil {
+	if err := obs.EncodeJSON(&buf, res.Obs); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "golden", "chan2.json")
@@ -172,7 +172,7 @@ func TestGoldenMultiChannel(t *testing.T) {
 		t.Errorf("two-channel report diverged from %s (%d vs %d bytes); run with -update and review the diff",
 			path, buf.Len(), len(want))
 	}
-	rep, err := obs.Parse(want)
+	rep, err := obs.DecodeJSON(want)
 	if err != nil {
 		t.Fatalf("golden report no longer parses: %v", err)
 	}

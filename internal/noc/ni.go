@@ -121,8 +121,8 @@ type Sink struct {
 	// credit buffers — every flit, not just packet heads, because a
 	// partially drained packet stalls on exactly one missing flit. The
 	// simulation kernel uses it to wake the sink's consumer; a sink with
-	// buffered flits or ready packets keeps itself awake via its
-	// component's NextWake instead.
+	// buffered flits or ready packets keeps itself awake via the wake its
+	// component's tick returns instead.
 	OnArrival func(now int64)
 }
 

@@ -14,9 +14,9 @@
 // arrangement for memory traffic.
 //
 // The flow-control policy of each router output is pluggable through the
-// Allocator interface; the paper's GSS policy lives in internal/core and
-// the conventional round-robin / priority-first policies in
-// internal/router.
+// Allocator interface. The conventional round-robin / priority-first
+// policy, RoundRobin, is the default; the paper's GSS policy lives in
+// internal/core.
 package noc
 
 import (

@@ -13,8 +13,8 @@ type Candidate struct {
 // channel for the winner until its tail flit has passed (within its
 // virtual channel — other VCs interleave at flit granularity).
 //
-// Implementations: round-robin and priority-first in internal/router, the
-// paper's GSS token algorithm in internal/core.
+// Implementations: RoundRobin (plain or priority-first) here, the paper's
+// GSS token algorithm in internal/core.
 //
 // The cands slice passed to Select is scratch storage owned by the router
 // and overwritten on the next allocation — implementations must not
@@ -113,7 +113,7 @@ func (r *Router) init(pos Coord, vcs, bufFlits int) {
 	for p := 0; p < NumPorts; p++ {
 		r.In[p].init(vcs, bufFlits)
 		o := &r.Out[p]
-		o.alloc = fifoAllocator{}
+		o.alloc = &RoundRobin{}
 		o.credits = make([]int, vcs)
 		o.active = make([]activeXfer, vcs)
 		for v := range r.In[p].bufs {
@@ -231,11 +231,40 @@ func (r *Router) allocate(out, vc int, now int64) {
 	o.alloc.OnScheduled(r.cands[idx].Pkt, now)
 }
 
-// fifoAllocator is the default placeholder policy: it grants the first
-// candidate in port order. Real configurations install round-robin,
-// priority-first, or GSS allocators.
-type fifoAllocator struct{}
+// RoundRobin grants the output channel to input ports in rotating order,
+// the conventional best-effort NoC arbitration and every output port's
+// default policy. With PriorityFirst set, priority packets always win
+// over best-effort ones and the rotation breaks ties within a class: the
+// paper's priority-first service (PFS).
+type RoundRobin struct {
+	PriorityFirst bool
 
-func (fifoAllocator) OnPacketArrival(*Packet, int64)    {}
-func (fifoAllocator) Select(c []Candidate, _ int64) int { return 0 }
-func (fifoAllocator) OnScheduled(*Packet, int64)        {}
+	next    int // port the rotation starts from
+	granted int // port of the last Select winner
+}
+
+// OnPacketArrival implements Allocator; round-robin keeps no per-packet
+// state.
+func (*RoundRobin) OnPacketArrival(*Packet, int64) {}
+
+// Select picks the candidate minimising (best-effort under
+// PriorityFirst, distance of its port past the rotating pointer).
+func (r *RoundRobin) Select(cands []Candidate, _ int64) int {
+	best, bestKey := -1, 2*NumPorts
+	for i, c := range cands {
+		k := (c.Port - r.next + NumPorts) % NumPorts
+		if r.PriorityFirst && !c.Pkt.Priority {
+			k += NumPorts
+		}
+		if k < bestKey {
+			best, bestKey = i, k
+		}
+	}
+	if best >= 0 {
+		r.granted = cands[best].Port
+	}
+	return best
+}
+
+// OnScheduled advances the rotating pointer one past the granted port.
+func (r *RoundRobin) OnScheduled(*Packet, int64) { r.next = (r.granted + 1) % NumPorts }

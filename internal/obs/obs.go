@@ -390,22 +390,6 @@ func EncodeSidecar(v any) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// WriteJSON serialises the report, indented, to w.
-//
-// Deprecated: WriteJSON is EncodeJSON with the arguments swapped; it
-// remains for pre-schema callers. New code should use EncodeJSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	return EncodeJSON(w, r)
-}
-
-// Parse decodes and sanity-checks one report: the CI smoke and tests use
-// it to assert a sidecar is well-formed, so it rejects structurally valid
-// JSON that could not have come from a finished run. It is DecodeJSON
-// under the pre-schema name.
-func Parse(data []byte) (*Report, error) {
-	return DecodeJSON(data)
-}
-
 // Validate checks the invariants every finished run's report satisfies.
 func (r *Report) Validate() error {
 	switch {

@@ -54,45 +54,41 @@ func (p Phase) String() string {
 	}
 }
 
-// Never is the NextWake value of a component with no self-scheduled
-// future work: it sleeps until some other component wakes its Handle.
+// Never is the wake time of a component with no self-scheduled future
+// work: it sleeps until some other component wakes its Handle.
 const Never = int64(math.MaxInt64)
 
 // Component is one clocked unit of the simulation. The kernel calls
-// Tick(now) on every cycle the component is awake, then asks NextWake
-// for the next cycle it must run.
+// Tick(now) on every cycle the component is awake; Tick performs one
+// cycle of work and returns the next cycle it must run.
 //
-// The wakeup contract: NextWake(now) returns the earliest future cycle
-// the component could possibly act, judged from its own state alone —
-// or Never when only external input (a flit arrival, a credit return, a
-// completion) can make it actable, in which case whoever produces that
-// input must Wake the component's Handle. Sleeping must be
-// unobservable: a component may only sleep through cycles where its
-// Tick would not have changed any state (its own or the counters it
-// maintains). Returning now+1 every cycle is always correct — idle-skip
-// is then just never applied — so components opt into skipping only
-// where idleness is provably a no-op.
-type Component interface {
+// The wakeup contract: Tick returns the next wake — the earliest future
+// cycle the component could possibly act, judged from its own state
+// alone — or Never when only external input (a flit arrival, a credit
+// return, a completion) can make it actable, in which case whoever
+// produces that input must Wake the component's Handle. A returned cycle
+// not after now means now+1. Sleeping must be unobservable: a component
+// may only sleep through cycles where its Tick would not have changed
+// any state (its own or the counters it maintains). Returning now+1
+// every cycle is always correct — idle-skip is then just never applied —
+// so components opt into skipping only where idleness is provably a
+// no-op.
+type Component struct {
 	// Name identifies the component in diagnostics.
-	Name() string
+	Name string
 	// Phase declares the intra-cycle slot the component ticks in.
-	Phase() Phase
-	// Tick performs one cycle of work.
-	Tick(now int64)
-	// NextWake returns the next cycle Tick must run (> now), or Never.
-	NextWake(now int64) int64
+	Phase Phase
+	// Tick performs one cycle of work and returns the next wake.
+	Tick func(now int64) (next int64)
 }
 
 // Handle is a registered component's scheduling slot. Producers of
 // external input hold the consumer's Handle and Wake it.
 type Handle struct {
-	c      Component
+	tick   func(now int64) int64
 	k      *Kernel
 	wakeAt int64
 }
-
-// Component returns the registered component.
-func (h *Handle) Component() Component { return h.c }
 
 // Wake schedules the component to tick at cycle at (clamped to the
 // current cycle: waking into the past means "as soon as possible", and
@@ -113,7 +109,6 @@ func (h *Handle) Wake(at int64) {
 // the clock over cycles where every component sleeps (idle-skip).
 type Kernel struct {
 	now      int64
-	steps    int64
 	byPhase  [NumPhases][]*Handle
 	handles  []*Handle
 	idleSkip bool
@@ -133,20 +128,15 @@ func (k *Kernel) SetIdleSkip(on bool) { k.idleSkip = on }
 // Now returns the current cycle.
 func (k *Kernel) Now() int64 { return k.now }
 
-// Steps returns how many cycles the kernel has actually executed (phase
-// loops run). With idle-skip on this can be far below Now(): the
-// difference is the cycles fast-forwarded over.
-func (k *Kernel) Steps() int64 { return k.steps }
-
 // Register adds a component, initially awake at the current cycle.
 // Registration order is tick order within a phase and must therefore be
 // deterministic.
 func (k *Kernel) Register(c Component) *Handle {
-	p := c.Phase()
+	p := c.Phase
 	if p < 0 || int(p) >= NumPhases {
-		panic(fmt.Sprintf("sim: component %q has invalid phase %d", c.Name(), p))
+		panic(fmt.Sprintf("sim: component %q has invalid phase %d", c.Name, p))
 	}
-	h := &Handle{c: c, k: k, wakeAt: k.now}
+	h := &Handle{tick: c.Tick, k: k, wakeAt: k.now}
 	k.byPhase[p] = append(k.byPhase[p], h)
 	k.handles = append(k.handles, h)
 	return h
@@ -164,8 +154,7 @@ func (k *Kernel) Step() {
 			if k.idleSkip && h.wakeAt > now {
 				continue
 			}
-			h.c.Tick(now)
-			if w := h.c.NextWake(now); w > now {
+			if w := h.tick(now); w > now {
 				h.wakeAt = w
 			} else {
 				h.wakeAt = now + 1
@@ -173,7 +162,6 @@ func (k *Kernel) Step() {
 		}
 	}
 	k.now = now + 1
-	k.steps++
 }
 
 // nextWake returns the earliest pending wake across all components.

@@ -6,42 +6,35 @@ import (
 	"testing"
 )
 
-// probe is a test component recording every Tick it receives.
-type probe struct {
-	name  string
-	phase Phase
-	next  func(now int64) int64
-	log   *[]string
-	ticks []int64
-}
-
-func (p *probe) Name() string { return p.name }
-func (p *probe) Phase() Phase { return p.phase }
-func (p *probe) Tick(now int64) {
-	p.ticks = append(p.ticks, now)
-	*p.log = append(*p.log, fmt.Sprintf("%d:%s", now, p.name))
-}
-func (p *probe) NextWake(now int64) int64 {
-	if p.next != nil {
-		return p.next(now)
+// logTick returns a Tick that records "cycle:name" in log and the cycle
+// in *ticks, then returns next(now), or now+1 when next is nil.
+func logTick(name string, log *[]string, ticks *[]int64, next func(now int64) int64) func(int64) int64 {
+	return func(now int64) int64 {
+		if ticks != nil {
+			*ticks = append(*ticks, now)
+		}
+		*log = append(*log, fmt.Sprintf("%d:%s", now, name))
+		if next != nil {
+			return next(now)
+		}
+		return now + 1
 	}
-	return now + 1
 }
 
-// TestKernelPhaseOrdering registers a probe in every phase (two in one
-// phase to pin registration order) and asserts the per-cycle call
+// TestKernelPhaseOrdering registers a component in every phase (two in
+// one phase to pin registration order) and asserts the per-cycle call
 // sequence matches the documented Deliver..Audit order.
 func TestKernelPhaseOrdering(t *testing.T) {
 	k := NewKernel()
 	var log []string
 	names := []string{}
 	for ph := Phase(0); int(ph) < NumPhases; ph++ {
-		k.Register(&probe{name: ph.String(), phase: ph, log: &log})
+		k.Register(Component{Name: ph.String(), Phase: ph, Tick: logTick(ph.String(), &log, nil, nil)})
 		names = append(names, ph.String())
 	}
 	// A second Arbitrate component, registered after every first-wave
-	// component, must still tick right after the first Arbitrate probe.
-	k.Register(&probe{name: "arbitrate2", phase: PhaseArbitrate, log: &log})
+	// component, must still tick right after the first Arbitrate one.
+	k.Register(Component{Name: "arbitrate2", Phase: PhaseArbitrate, Tick: logTick("arbitrate2", &log, nil, nil)})
 
 	k.RunUntil(3)
 
@@ -67,99 +60,85 @@ func TestKernelPhaseOrdering(t *testing.T) {
 // boundary even when the last wake is beyond it.
 func TestKernelIdleSkip(t *testing.T) {
 	var log []string
+	var ticks []int64
 	k := NewKernel()
-	p := &probe{name: "p", phase: PhaseInject, log: &log,
-		next: func(now int64) int64 { return now + 5 }}
-	k.Register(p)
+	k.Register(Component{Name: "p", Phase: PhaseInject,
+		Tick: logTick("p", &log, &ticks, func(now int64) int64 { return now + 5 })})
 	k.RunUntil(12)
 
-	if want := []int64{0, 5, 10}; !reflect.DeepEqual(p.ticks, want) {
-		t.Fatalf("ticks = %v, want %v", p.ticks, want)
+	if want := []int64{0, 5, 10}; !reflect.DeepEqual(ticks, want) {
+		t.Fatalf("ticks = %v, want %v", ticks, want)
 	}
 	if k.Now() != 12 {
 		t.Fatalf("Now() = %d, want 12", k.Now())
 	}
 }
 
-// TestKernelIdleSkipOffEquivalence runs the same component set with and
+// TestKernelIdleSkipOffEquivalence runs the same component with and
 // without idle-skip. With skip off every component ticks on every cycle
 // (the pre-kernel reference loop); with skip on only the self-declared
 // wake cycles tick. A component honouring the sleeping-is-unobservable
 // contract acts identically either way — the kernel invariant the
 // full-system equivalence test leans on.
 func TestKernelIdleSkipOffEquivalence(t *testing.T) {
-	// worker acts (mutates state) only on cycles that are a multiple of
-	// its stride, whether or not it is ticked on other cycles.
-	type worker struct {
-		probe
-		acted []int64
-	}
-	run := func(skip bool) *worker {
-		var log []string
-		w := &worker{}
-		w.name, w.phase, w.log = "w", PhaseMemTick, &log
-		w.next = func(now int64) int64 { return (now/7 + 1) * 7 }
+	// The worker acts (mutates state) only on cycles that are a multiple
+	// of its stride, whether or not it is ticked on other cycles.
+	run := func(skip bool) (ticks, acted []int64) {
 		k := NewKernel()
 		k.SetIdleSkip(skip)
-		k.Register(&tickFunc{w, func(now int64) {
-			w.Tick(now)
+		k.Register(Component{Name: "w", Phase: PhaseMemTick, Tick: func(now int64) int64 {
+			ticks = append(ticks, now)
 			if now%7 == 0 {
-				w.acted = append(w.acted, now)
+				acted = append(acted, now)
 			}
+			return (now/7 + 1) * 7
 		}})
 		k.RunUntil(60)
-		return w
+		return ticks, acted
 	}
-	on, off := run(true), run(false)
-	if !reflect.DeepEqual(on.acted, off.acted) {
-		t.Fatalf("idle-skip on acted %v != off %v", on.acted, off.acted)
+	onTicks, onActed := run(true)
+	offTicks, offActed := run(false)
+	if !reflect.DeepEqual(onActed, offActed) {
+		t.Fatalf("idle-skip on acted %v != off %v", onActed, offActed)
 	}
 	// Skip on ticks only the declared wake cycles; off ticks all 60.
-	if want := []int64{0, 7, 14, 21, 28, 35, 42, 49, 56}; !reflect.DeepEqual(on.ticks, want) {
-		t.Fatalf("skip-on ticks = %v, want %v", on.ticks, want)
+	if want := []int64{0, 7, 14, 21, 28, 35, 42, 49, 56}; !reflect.DeepEqual(onTicks, want) {
+		t.Fatalf("skip-on ticks = %v, want %v", onTicks, want)
 	}
-	if len(off.ticks) != 60 {
-		t.Fatalf("skip-off ticked %d cycles, want all 60", len(off.ticks))
+	if len(offTicks) != 60 {
+		t.Fatalf("skip-off ticked %d cycles, want all 60", len(offTicks))
 	}
 }
-
-// tickFunc overrides a component's Tick, keeping its other methods.
-type tickFunc struct {
-	Component
-	tick func(now int64)
-}
-
-func (t *tickFunc) Tick(now int64) { t.tick(now) }
 
 // TestKernelWakeSameCycle checks the cross-phase wake contract: a wake
 // for the current cycle issued from an earlier phase ticks the target
 // this cycle; one issued after the target's phase ran lands next cycle.
 func TestKernelWakeSameCycle(t *testing.T) {
 	var log []string
+	var sleeperTicks, lateTicks []int64
+	never := func(int64) int64 { return Never }
 	k := NewKernel()
-	sleeper := &probe{name: "sleeper", phase: PhaseComplete, log: &log,
-		next: func(int64) int64 { return Never }}
-	hs := k.Register(sleeper)
-	late := &probe{name: "late", phase: PhaseDeliver, log: &log,
-		next: func(int64) int64 { return Never }}
-	hl := k.Register(late)
-	k.Register(&probe{name: "admit", phase: PhaseAdmit, log: &log,
-		next: func(now int64) int64 {
+	hs := k.Register(Component{Name: "sleeper", Phase: PhaseComplete,
+		Tick: logTick("sleeper", &log, &sleeperTicks, never)})
+	hl := k.Register(Component{Name: "late", Phase: PhaseDeliver,
+		Tick: logTick("late", &log, &lateTicks, never)})
+	k.Register(Component{Name: "admit", Phase: PhaseAdmit,
+		Tick: logTick("admit", &log, nil, func(now int64) int64 {
 			if now == 2 {
 				hs.Wake(now) // Complete runs later this cycle
 				hl.Wake(now) // Deliver already ran: clamps to next cycle
 			}
 			return now + 1
-		}})
+		})})
 	k.RunUntil(4)
 
-	if want := []int64{0, 2}; !reflect.DeepEqual(sleeper.ticks, want) {
-		t.Fatalf("same-cycle wake ticks = %v, want %v", sleeper.ticks, want)
+	if want := []int64{0, 2}; !reflect.DeepEqual(sleeperTicks, want) {
+		t.Fatalf("same-cycle wake ticks = %v, want %v", sleeperTicks, want)
 	}
 	// late ticked at 0 (initial), then its Wake(2) could only take
 	// effect at cycle 3 — its phase had already run at cycle 2.
-	if want := []int64{0, 3}; !reflect.DeepEqual(late.ticks, want) {
-		t.Fatalf("past-phase wake ticks = %v, want %v", late.ticks, want)
+	if want := []int64{0, 3}; !reflect.DeepEqual(lateTicks, want) {
+		t.Fatalf("past-phase wake ticks = %v, want %v", lateTicks, want)
 	}
 }
 
@@ -171,6 +150,39 @@ func TestKernelInvalidPhase(t *testing.T) {
 			t.Fatal("Register accepted an invalid phase")
 		}
 	}()
-	var log []string
-	NewKernel().Register(&probe{name: "bad", phase: Phase(99), log: &log})
+	NewKernel().Register(Component{Name: "bad", Phase: Phase(99), Tick: func(now int64) int64 { return now + 1 }})
+}
+
+// noopKernel returns a kernel with n always-awake components that do no
+// work, spread round-robin over the phases.
+func noopKernel(n int) *Kernel {
+	k := NewKernel()
+	for i := 0; i < n; i++ {
+		k.Register(Component{Name: fmt.Sprintf("noop%d", i), Phase: Phase(i % NumPhases),
+			Tick: func(now int64) int64 { return now + 1 }})
+	}
+	return k
+}
+
+// TestKernelStepAllocs pins that dispatch allocates nothing per cycle.
+func TestKernelStepAllocs(t *testing.T) {
+	k := noopKernel(64)
+	if a := testing.AllocsPerRun(100, k.Step); a != 0 {
+		t.Fatalf("Step allocates %v times per cycle, want 0", a)
+	}
+}
+
+// BenchmarkKernelDispatch measures the kernel's own per-cycle cost: one
+// Step over n always-awake no-op components.
+func BenchmarkKernelDispatch(b *testing.B) {
+	for _, n := range []int{8, 64} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			k := noopKernel(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+		})
+	}
 }

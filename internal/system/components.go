@@ -7,19 +7,14 @@ import (
 	"aanoc/internal/sim"
 )
 
-// comp adapts a closure pair to sim.Component: the pieces of the old
-// monolithic Runner.Step become named components, one per phase slot.
-type comp struct {
-	name  string
-	phase sim.Phase
-	tick  func(now int64)
-	next  func(now int64) int64
+// meshNext is a mesh's next wake: the next cycle while anything is in
+// flight, else Never until an injection or credit return wakes it.
+func meshNext(m *noc.Mesh, now int64) int64 {
+	if m.Activity() > 0 {
+		return now + 1
+	}
+	return sim.Never
 }
-
-func (c *comp) Name() string             { return c.name }
-func (c *comp) Phase() sim.Phase         { return c.phase }
-func (c *comp) Tick(now int64)           { c.tick(now) }
-func (c *comp) NextWake(now int64) int64 { return c.next(now) }
 
 // buildKernel registers the wired subsystems with a fresh simulation
 // kernel. Phase order plus registration order reproduce the exact
@@ -38,7 +33,7 @@ func (c *comp) NextWake(now int64) int64 { return c.next(now) }
 // mesh's sinks versus the request pipeline — so folding them into one
 // Complete component after MemTick is order-equivalent.)
 //
-// Each component's NextWake gives the activity-driven idle-skip its
+// The wake each tick returns gives the activity-driven idle-skip its
 // soundness: a component only sleeps through cycles its tick provably
 // would not change state, and every producer of cross-component input
 // wakes the consumer's handle.
@@ -47,14 +42,14 @@ func (r *Runner) buildKernel() {
 	r.kern = k
 
 	regMesh := func(name string, m *noc.Mesh) {
-		next := func(now int64) int64 {
-			if m.Activity() > 0 {
-				return now + 1
-			}
-			return sim.Never
-		}
-		hd := k.Register(&comp{name: name + "-links", phase: sim.PhaseDeliver, tick: m.Deliver, next: next})
-		ha := k.Register(&comp{name: name + "-routers", phase: sim.PhaseArbitrate, tick: m.Arbitrate, next: next})
+		hd := k.Register(sim.Component{Name: name + "-links", Phase: sim.PhaseDeliver, Tick: func(now int64) int64 {
+			m.Deliver(now)
+			return meshNext(m, now)
+		}})
+		ha := k.Register(sim.Component{Name: name + "-routers", Phase: sim.PhaseArbitrate, Tick: func(now int64) int64 {
+			m.Arbitrate(now)
+			return meshNext(m, now)
+		}})
 		m.OnWake = func() {
 			// Work appears outside the mesh's own phases (an injector
 			// launch, a sink credit return), so this cycle's Deliver and
@@ -80,9 +75,9 @@ func (r *Runner) buildKernel() {
 	for ch := range r.devs {
 		ch := ch
 		sink, ctrl := r.memSinks[ch], r.ctrls[ch]
-		hAdmit := k.Register(&comp{
-			name: chName("mem-admit", ch), phase: sim.PhaseAdmit,
-			tick: func(now int64) {
+		hAdmit := k.Register(sim.Component{
+			Name: chName("mem-admit", ch), Phase: sim.PhaseAdmit,
+			Tick: func(now int64) int64 {
 				sink.Step(now)
 				for {
 					p := sink.Peek()
@@ -96,8 +91,6 @@ func (r *Runner) buildKernel() {
 					// queue — implies the controller is already awake.)
 					r.hMems[ch].Wake(now)
 				}
-			},
-			next: func(now int64) int64 {
 				if sink.Occupied() > 0 || sink.Ready() > 0 {
 					return now + 1
 				}
@@ -109,18 +102,20 @@ func (r *Runner) buildKernel() {
 
 	for ch := range r.devs {
 		ctrl := r.ctrls[ch]
-		r.hMems = append(r.hMems, k.Register(&comp{
-			name: chName("memctrl", ch), phase: sim.PhaseMemTick,
-			tick: func(now int64) { ctrl.Tick(now) },
-			next: ctrl.NextEvent,
+		r.hMems = append(r.hMems, k.Register(sim.Component{
+			Name: chName("memctrl", ch), Phase: sim.PhaseMemTick,
+			Tick: func(now int64) int64 {
+				ctrl.Tick(now)
+				return ctrl.NextEvent(now)
+			},
 		}))
 	}
 
 	for _, c := range r.cores {
 		c := c
-		hc := k.Register(&comp{
-			name: "core-complete/" + c.spec.Name, phase: sim.PhaseComplete,
-			tick: func(now int64) {
+		hc := k.Register(sim.Component{
+			Name: "core-complete/" + c.spec.Name, Phase: sim.PhaseComplete,
+			Tick: func(now int64) int64 {
 				c.sink.Step(now)
 				for {
 					p := c.sink.Pop(now)
@@ -131,8 +126,6 @@ func (r *Runner) buildKernel() {
 					// The response packet's journey ends here; recycle it.
 					r.freePkt(p)
 				}
-			},
-			next: func(now int64) int64 {
 				if c.sink.Occupied() > 0 || c.sink.Ready() > 0 {
 					return now + 1
 				}
@@ -144,10 +137,10 @@ func (r *Runner) buildKernel() {
 
 	for ch := range r.devs {
 		inj := r.respInjs[ch]
-		r.hRespInjs = append(r.hRespInjs, k.Register(&comp{
-			name: chName("resp-inject", ch), phase: sim.PhaseInject,
-			tick: func(now int64) { inj.Step(now) },
-			next: func(now int64) int64 {
+		r.hRespInjs = append(r.hRespInjs, k.Register(sim.Component{
+			Name: chName("resp-inject", ch), Phase: sim.PhaseInject,
+			Tick: func(now int64) int64 {
+				inj.Step(now)
 				if inj.QueueLen() > 0 {
 					return now + 1
 				}
@@ -158,9 +151,9 @@ func (r *Runner) buildKernel() {
 
 	for i, c := range r.cores {
 		i, c := i, c
-		h := k.Register(&comp{
-			name: "core-inject/" + c.spec.Name, phase: sim.PhaseInject,
-			tick: func(now int64) {
+		h := k.Register(sim.Component{
+			Name: "core-inject/" + c.spec.Name, Phase: sim.PhaseInject,
+			Tick: func(now int64) int64 {
 				blocked := c.inj.QueueFlits() >= r.cfg.InjectCap
 				if blocked {
 					// The injection backpressure point: this core's
@@ -178,8 +171,6 @@ func (r *Runner) buildKernel() {
 					r.injectLogical(c, g, req, now)
 				}
 				c.inj.Step(now)
-			},
-			next: func(now int64) int64 {
 				if c.inj.QueueFlits() > 0 {
 					return now + 1
 				}
@@ -196,14 +187,12 @@ func (r *Runner) buildKernel() {
 	}
 
 	if se := r.cfg.SampleEvery; se > 0 {
-		k.Register(&comp{
-			name: "obs-sample", phase: sim.PhaseAudit,
-			tick: func(now int64) {
+		k.Register(sim.Component{
+			Name: "obs-sample", Phase: sim.PhaseAudit,
+			Tick: func(now int64) int64 {
 				if (now+1)%se == 0 {
 					r.sample(now+1, se)
 				}
-			},
-			next: func(now int64) int64 {
 				// The smallest n > now with (n+1) divisible by se: sampling
 				// windows close on exact cycles even across skipped gaps.
 				return (now+1+se)/se*se - 1
@@ -215,10 +204,12 @@ func (r *Runner) buildKernel() {
 		// Checked mode audits every settled cycle, which also pins the
 		// kernel to visit every cycle — the conservation walks are
 		// per-cycle invariants, not samplable ones.
-		k.Register(&comp{
-			name: "check-audit", phase: sim.PhaseAudit,
-			tick: func(now int64) { r.auditMeshes(now) },
-			next: func(now int64) int64 { return now + 1 },
+		k.Register(sim.Component{
+			Name: "check-audit", Phase: sim.PhaseAudit,
+			Tick: func(now int64) int64 {
+				r.auditMeshes(now)
+				return now + 1
+			},
 		})
 	}
 }

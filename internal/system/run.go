@@ -13,7 +13,6 @@ import (
 	"aanoc/internal/memctrl"
 	"aanoc/internal/noc"
 	"aanoc/internal/obs"
-	"aanoc/internal/router"
 	"aanoc/internal/sim"
 	"aanoc/internal/stats"
 	"aanoc/internal/trace"
@@ -683,9 +682,7 @@ func (r *Runner) installAllocators() {
 	// best-effort responses at every merge, the return half of the
 	// guaranteed service.
 	for _, rt := range r.respMesh.Routers {
-		rt.SetAllAllocators(func(int) noc.Allocator {
-			return &router.PriorityFirst{Inner: &router.RoundRobin{}}
-		})
+		rt.SetAllAllocators(func(int) noc.Allocator { return &noc.RoundRobin{PriorityFirst: true} })
 	}
 	gssSet := map[noc.Coord]bool{}
 	if cfg.Design.usesGSSEngine() {
@@ -722,11 +719,9 @@ func (r *Runner) installAllocators() {
 		case cfg.Design.priorityFirstNet() || cfg.Design.usesGSSEngine():
 			// Non-GSS routers in a priority design (and the Fig. 8
 			// baseline remainder) are priority-first round-robin.
-			rt.SetAllAllocators(func(int) noc.Allocator {
-				return &router.PriorityFirst{Inner: &router.RoundRobin{}}
-			})
+			rt.SetAllAllocators(func(int) noc.Allocator { return &noc.RoundRobin{PriorityFirst: true} })
 		default:
-			rt.SetAllAllocators(func(int) noc.Allocator { return &router.RoundRobin{} })
+			// CONV: plain round-robin, every port's default policy.
 		}
 	}
 }
@@ -827,8 +822,8 @@ func (r *Runner) completeSplit(p *noc.Packet, at int64) {
 	l.stream.OnComplete(at)
 	// The completion refills a closed-loop window: the stream can
 	// generate no earlier than next cycle (think time is at least one),
-	// so wake the core's injection component then and let its NextWake
-	// refine the estimate.
+	// so wake the core's injection component then and let the wake its
+	// tick returns refine the estimate.
 	if l.core >= 0 && l.core < len(r.hInject) {
 		r.hInject[l.core].Wake(r.kern.Now() + 1)
 	}

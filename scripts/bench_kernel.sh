@@ -3,8 +3,9 @@
 # kernel's trajectory in BENCH_kernel.json: per-benchmark ns/op, the
 # idle-skip speedup on the low-utilization configs (the skip/noskip
 # variant pairs of BenchmarkTableLowUtil), and the saturated-load
-# throughput of the BenchmarkHotPath pair (the perf gate's measurement,
-# see scripts/perf_gate.sh).
+# throughput of the BenchmarkHotPath pair. These are absolute numbers for
+# the record, not a gate: the CI perf gate is the same-machine A/B of
+# perfbench/compare.py --ab (see perfbench/README.md).
 #
 #   ./scripts/bench_kernel.sh [output.json] [trajectory.jsonl]
 #

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"aanoc/internal/appmodel"
+	"aanoc/internal/obs"
 	"aanoc/internal/scenario"
 )
 
@@ -98,10 +99,10 @@ func TestSpecReportsByteIdentical(t *testing.T) {
 					t.Fatalf("%s spec: %v", d, err)
 				}
 				var mbuf, sbuf bytes.Buffer
-				if err := mres.Obs.WriteJSON(&mbuf); err != nil {
+				if err := obs.EncodeJSON(&mbuf, mres.Obs); err != nil {
 					t.Fatal(err)
 				}
-				if err := sres.Obs.WriteJSON(&sbuf); err != nil {
+				if err := obs.EncodeJSON(&sbuf, sres.Obs); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(mbuf.Bytes(), sbuf.Bytes()) {
